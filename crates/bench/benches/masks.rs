@@ -14,7 +14,7 @@
 //! 2. **greedy rounds** — `k` marginal-gain rounds over the full table:
 //!    seed fold (sorted map entries, clone + union + two per-bit value
 //!    evaluations per overlapping user) versus the arena fold
-//!    (`MaskArena` streaming, `union_would_change` word test,
+//!    (`MaskRow` streaming, `union_would_change` word test,
 //!    `value_union` without materializing). Both run single-threaded and
 //!    must pick **identical facilities with bit-identical values**; the
 //!    CI gate asserts the arena fold is **≥2x** faster (minimum of

@@ -128,7 +128,8 @@ impl BaselineIndex {
         }
         // Canonical (ascending-id) summation: bit-identical to what the
         // TQ-tree evaluators report for the same facility.
-        let value = crate::eval::canonical_value(users, model, &masks);
+        let masks = crate::maxcov::MaskRow::from_map(users, model, masks);
+        let value = masks.value();
         EvalOutcome {
             value,
             masks,
@@ -180,7 +181,7 @@ impl BaselineIndex {
             ids.push(id);
             masks.push(out.masks);
         }
-        ServedTable::from_masks(users, model, ids, masks, stats)
+        ServedTable::from_rows(ids, masks, stats)
     }
 
     /// The paper's G-BL: straightforward greedy MaxkCovRST over baseline

@@ -14,10 +14,11 @@
 //! * **[`Engine`]** — the single-writer control plane: owns the
 //!   publication slot, answers queries itself ([`Engine::run`], which
 //!   additionally memoizes the tables queries build), and applies
-//!   streaming [`Update`] batches ([`Engine::apply`]) by copy-on-write:
-//!   only the touched facilities' tables (and the mutated index/user set)
-//!   are cloned and patched, everything else is `Arc`-shared with the
-//!   previous epoch, and the new snapshot is published atomically.
+//!   streaming [`Update`] batches ([`Engine::apply`]) by structural
+//!   sharing: the user set, the index and every table row are chunked
+//!   behind `Arc`s, a batch copies only the chunks it touches, everything
+//!   else is shared with the previous epoch, and the new snapshot is
+//!   published atomically.
 //!   Readers never wait out a batch — they keep answering on the epoch
 //!   they hold, and old epochs drain via `Arc` refcounts.
 //! * **[`Reader`]** — the cloneable, `Send + Sync` handle serving threads
@@ -29,8 +30,8 @@
 //! ```text
 //!                     writer (one thread)             readers (N threads)
 //!                 ┌───────────────────────┐        ┌──────────────────────┐
-//! Engine::apply ─►│ validate → CoW-patch  │        │ reader.snapshot()    │
-//!                 │ index + touched tables│        │   └► Arc<Snapshot>   │
+//! Engine::apply ─►│ validate → path-copy  │        │ reader.snapshot()    │
+//!                 │ touched chunks only   │        │   └► Arc<Snapshot>   │
 //!                 │ → publish epoch e+1 ──┼──swap──┼──►                   │
 //! Engine::run ───►│ execute on epoch e;   │ (slot) │ snapshot.run(query)  │
 //!                 │ absorb built tables   │        │   &self, zero locks  │
@@ -58,9 +59,9 @@
 //! [`Engine::apply`] keeps every memoized table in sync incrementally (the
 //! [`dynamic`](crate::dynamic)-engine invalidation rule: facilities whose
 //! ψ-expanded EMBR misses every delta MBR are untouched — their tables
-//! stay `Arc`-shared with the previous epoch at zero cost — touched ones
-//! are cloned and patched delta-by-delta, heavy ones re-evaluated through
-//! the tree).
+//! stay `Arc`-shared with the previous epoch at zero cost — touched rows
+//! copy only the chunks their deltas land in, heavy ones are re-evaluated
+//! through the tree).
 //!
 //! # Bit-identity
 //!
@@ -152,9 +153,9 @@ use snapshot::SnapshotSlot;
 
 use crate::baseline::BaselineIndex;
 use crate::dynamic::{BatchOutcome, Update, UpdateError, UpdateStats};
-use crate::eval::{canonical_value, EvalOutcome, EvalStats};
+use crate::eval::{EvalOutcome, EvalStats};
 use crate::fasthash::{FxHashMap, FxHashSet};
-use crate::maxcov::ServedTable;
+use crate::maxcov::{RowEdit, ServedTable};
 use crate::parallel;
 use crate::persist::{Durable, StoreConfig};
 use crate::service::ServiceModel;
@@ -290,7 +291,7 @@ impl Index for BaselineIndex {
             stats.add(&out.stats);
             masks.push(out.masks);
         }
-        ServedTable::from_masks(users, model, candidates.to_vec(), masks, stats)
+        ServedTable::from_rows(candidates.to_vec(), masks, stats)
     }
 }
 
@@ -634,7 +635,7 @@ impl EngineBuilder {
 /// The single-writer control plane over one user set, service model and
 /// backend: publishes [`Snapshot`]s for the read plane, answers queries
 /// itself (with memoization), and applies [`Update`] batches by
-/// copy-on-write. See the [module docs](self) for the two-plane design,
+/// structural sharing. See the [module docs](self) for the two-plane design,
 /// the memoization rules and the bit-identity guarantees.
 #[derive(Debug)]
 pub struct Engine {
@@ -916,14 +917,22 @@ impl Engine {
     // -- updates ------------------------------------------------------------
 
     /// Applies one batch of updates and publishes the resulting snapshot:
-    /// validates the batch, copy-on-write-mutates the index and user set,
-    /// brings **every memoized table** back in sync incrementally
-    /// (untouched tables stay `Arc`-shared with the previous epoch at zero
-    /// cost; touched ones are cloned and patched / re-evaluated per
-    /// facility, as counted by [`Engine::stats`]), then swaps the new
-    /// epoch into the publication slot. Readers keep answering on the old
-    /// epoch until they next ask for a snapshot; the old epoch is freed by
-    /// its `Arc` refcount.
+    /// validates the batch, mutates the index and user set, brings
+    /// **every memoized table** back in sync incrementally (patched or
+    /// re-evaluated per facility, as counted by [`Engine::stats`]), then
+    /// swaps the new epoch into the publication slot. Readers keep
+    /// answering on the old epoch until they next ask for a snapshot; the
+    /// old epoch is freed by its `Arc` refcount.
+    ///
+    /// The cost is `O(batch)`, not `O(state)`, by **structural sharing**:
+    /// the user set, the TQ-tree node arena and every table row are
+    /// chunked behind `Arc`s, and the new epoch shares every chunk the
+    /// batch does not touch with the old one. An insert copies the user
+    /// set's tail chunk, the arena chunks on its root-to-leaf path and the
+    /// one item chunk of the z-list it joins; a patched row copies only
+    /// the chunks its edits land in and re-folds its value from there (see
+    /// [`MaskRow`](crate::maxcov::MaskRow)), bit-identical to a fresh
+    /// build.
     ///
     /// All-or-nothing: a batch with an out-of-bounds insert or a dead
     /// removal id is rejected without touching the engine
@@ -1008,9 +1017,10 @@ impl Engine {
     /// The mutation half of [`Engine::apply`]: the batch must already be
     /// validated (and WAL-logged when durable); publishes at `new_epoch`.
     fn apply_validated(&mut self, updates: &[Update], new_epoch: u64) -> BatchOutcome {
-        // Copy-on-write of the mutable halves: readers may still hold the
-        // published snapshot, so the index and user set are cloned, mutated,
-        // and re-published — never mutated in place.
+        // Readers may still hold the published snapshot, so the index and
+        // user set are never mutated in place: the clones share every
+        // chunk with it, and the mutations below path-copy only the
+        // chunks they touch.
         let mut users = UserSet::clone(&self.snapshot.users);
         let Backend::TqTree(tree_ref) = &*self.snapshot.backend else {
             unreachable!("checked above");
@@ -1049,9 +1059,9 @@ impl Engine {
         // Phases 2+3 per memoized table: classify its candidates by the
         // EMBR∩delta-MBR rule. A table none of whose facilities intersect
         // any delta keeps its Arc from the previous epoch (zero copies);
-        // a touched table is cloned once, then patched in place (cheap
-        // facilities) or rebuilt through the tree (heavy ones, fanned out
-        // across threads).
+        // a touched table's spine is cloned (one pointer per row), then
+        // rows are patched (cheap facilities) or rebuilt through the tree
+        // (heavy ones, fanned out across threads).
         let rebuild_threshold =
             (self.rebuild_fraction * live_count.max(1) as f64).ceil() as usize;
         let placement = tree.config().placement;
@@ -1074,9 +1084,10 @@ impl Engine {
                 outcome.untouched += n;
                 continue;
             }
-            // Copy-on-write: clone this table once, patch the clone.
+            // The clone shares every row; patches copy only touched chunks.
             let mut table = ServedTable::clone(shared);
             let mut rebuilds: Vec<usize> = Vec::new();
+            let mut edits: Vec<RowEdit> = Vec::new();
             for (ti, relevant) in relevant.iter().enumerate() {
                 if relevant.is_empty() {
                     self.stats.facilities_untouched += 1;
@@ -1089,7 +1100,7 @@ impl Engine {
                 }
                 let fid = table.ids[ti];
                 let facility = self.snapshot.facilities.get(fid);
-                let mut changed = false;
+                edits.clear();
                 for &&(id, inserted, _) in relevant {
                     if inserted {
                         self.stats.patch_evaluations += 1;
@@ -1100,16 +1111,17 @@ impl Engine {
                             id,
                             facility,
                         ) {
-                            table.masks[ti].insert(id, mask);
-                            changed = true;
+                            edits.push(RowEdit::Insert(id, mask));
                         }
                     } else {
-                        changed |= table.masks[ti].remove(&id).is_some();
+                        edits.push(RowEdit::Remove(id));
                     }
                 }
-                if changed {
-                    table.values[ti] =
-                        canonical_value(&users, &self.snapshot.model, &table.masks[ti]);
+                // The row path-copies only the chunks the edits land in
+                // and re-folds its value from there: no re-sort, no
+                // re-evaluation of untouched users.
+                if table.masks[ti].patch(&users, &self.snapshot.model, edits.drain(..)) {
+                    table.values[ti] = table.masks[ti].value();
                 }
                 self.stats.facilities_patched += 1;
                 outcome.patched += 1;

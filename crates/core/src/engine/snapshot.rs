@@ -9,8 +9,8 @@
 //! snapshot concurrently, each bit-identical to a serial execution over
 //! that snapshot's data. Writers never touch a published snapshot; the
 //! control plane ([`Engine`](super::Engine)) builds a *new* snapshot per
-//! update batch (copy-on-write for the touched parts, `Arc`-shared for the
-//! rest) and publishes it atomically. Old epochs stay valid for the
+//! update batch (copying only the chunks the batch touches, sharing every
+//! other chunk by `Arc`) and publishes it atomically. Old epochs stay valid for the
 //! readers still holding them and are reclaimed by the `Arc` refcount when
 //! the last reader drops — there is no epoch garbage collector and no
 //! reader quiescence protocol.

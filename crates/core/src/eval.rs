@@ -23,6 +23,7 @@
 //! destination is served in another is correctly counted as served.
 
 use crate::fasthash::FxHashMap;
+use crate::maxcov::MaskRow;
 use crate::service::{PointMask, Scenario, ServiceModel};
 use crate::tqtree::{NodeId, NodeList, Placement, ReduceMode, ReduceScratch, StoredItem, TqTree, ROOT};
 use tq_geometry::{Point, Rect};
@@ -87,8 +88,9 @@ impl EvalStats {
 pub struct EvalOutcome {
     /// The service value `SO(U, f) = Σ_u S(u, f)`.
     pub value: f64,
-    /// Per-user served-point masks (only users with ≥ 1 served point).
-    pub masks: FxHashMap<TrajectoryId, PointMask>,
+    /// Per-user served-point masks (only users with ≥ 1 served point), in
+    /// canonical order; `value` is this row's [`MaskRow::value`].
+    pub masks: MaskRow,
     /// Instrumentation counters.
     pub stats: EvalStats,
 }
@@ -250,7 +252,9 @@ impl EvalState {
                 // small lists — the common case in segmented trees — take
                 // the linear path too. All paths are exact.
                 if ctx.mode == ReduceMode::Scan || z.len() <= 2 * ctx.tree.config().beta {
-                    self.scan_list(ctx, z.items(), stops, &comp_embr);
+                    for items in z.slices() {
+                        self.scan_list(ctx, items, stops, &comp_embr);
+                    }
                 } else {
                     // `z_reduce` visits surviving items directly; the
                     // scratch buffers are detached for the duration so the
@@ -309,10 +313,10 @@ impl EvalState {
     /// immune both to floating-point drift of the running deltas and to
     /// summation-order differences between evaluation histories.
     pub fn finish(self, ctx: &EvalCtx<'_>) -> EvalOutcome {
-        let value = canonical_value(ctx.users, &ctx.model, &self.masks);
+        let masks = MaskRow::from_map(ctx.users, &ctx.model, self.masks);
         EvalOutcome {
-            value,
-            masks: self.masks,
+            value: masks.value(),
+            masks,
             stats: self.stats,
         }
     }

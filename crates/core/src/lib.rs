@@ -38,8 +38,9 @@
 //! For concurrent serving the engine is split into two planes: immutable,
 //! epoch-numbered [`engine::Snapshot`]s answer queries through `&self`
 //! with zero locks (any number of reader threads), while the single-writer
-//! [`engine::Engine`] control plane applies update batches copy-on-write
-//! and publishes each new epoch atomically to every [`engine::Reader`].
+//! [`engine::Engine`] control plane applies update batches by structural
+//! sharing (a batch copies only the chunks it touches) and publishes each
+//! new epoch atomically to every [`engine::Reader`].
 //! The **[`serve`]** module drives a whole sharded worker pool off that
 //! split — N client threads of mixed queries against a live update stream.
 //!
@@ -98,7 +99,7 @@ pub use parallel::{
 };
 pub use persist::{PersistStatus, StoreConfig, SyncPolicy};
 pub use serve::{ClientStats, ServeConfig, ServeReport, Workload};
-pub use maxcov::{CovOutcome, Coverage, GeneticConfig, MaskArena, ServedTable};
+pub use maxcov::{CovOutcome, Coverage, GeneticConfig, MaskRow, ServedTable};
 pub use service::{MaskSizeMismatch, MaskView, PointMask, Scenario, ServiceBounds, ServiceModel};
 pub use sharding::{
     GainCombiner, Partitioner, ShardedEngine, ShardedReader, ShardedSnapshot,

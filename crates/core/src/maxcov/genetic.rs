@@ -48,13 +48,8 @@ impl Default for GeneticConfig {
 
 type Chromosome = Vec<usize>; // candidate indices into the table, distinct
 
-fn fitness(
-    arena: &super::MaskArena,
-    users: &UserSet,
-    model: &ServiceModel,
-    c: &Chromosome,
-) -> f64 {
-    Coverage::value_of_subset_arena(arena, users, model, c)
+fn fitness(table: &ServedTable, users: &UserSet, model: &ServiceModel, c: &Chromosome) -> f64 {
+    Coverage::value_of_subset(table, users, model, c)
 }
 
 fn random_subset(rng: &mut StdRng, n: usize, k: usize) -> Chromosome {
@@ -125,17 +120,12 @@ pub fn genetic(
     }
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let pop_size = cfg.population.max(2);
-    // Canonical per-candidate entries flattened into one word arena,
-    // computed once for the whole run: fitness re-adds the same immutable
-    // masks every generation.
-    let arena = super::MaskArena::from_table(table);
-
     // Chromosome generation consumes the RNG sequentially (determinism);
     // fitness evaluation is pure and fans out across threads. The split
     // leaves the RNG stream — and therefore the whole run — bit-identical
     // to a fully serial execution.
     let evaluate = |chroms: Vec<Chromosome>| -> Vec<(Chromosome, f64)> {
-        let fits = parallel::par_map(&chroms, |c| fitness(&arena, users, model, c));
+        let fits = parallel::par_map(&chroms, |c| fitness(table, users, model, c));
         chroms.into_iter().zip(fits).collect()
     };
 
@@ -180,7 +170,7 @@ pub fn genetic(
 
     let mut cov = Coverage::new();
     for &i in &best {
-        cov.add_views(users, model, arena.candidate(i));
+        cov.add(users, model, &table.masks[i]);
     }
     CovOutcome {
         chosen: best.iter().map(|&i| table.ids[i]).collect(),

@@ -31,11 +31,6 @@ pub fn greedy(
     let mut cov = Coverage::new();
     let mut chosen = Vec::with_capacity(k.min(table.len()));
     let mut used = vec![false; table.len()];
-    // Canonical (ascending-id) per-candidate entries flattened into one
-    // contiguous word arena, computed once — every round re-scores every
-    // remaining candidate against the same immutable masks, so neither the
-    // sort nor the hash-map pointer chase may sit in the inner loop.
-    let arena = super::MaskArena::from_table(table);
     for _ in 0..k.min(table.len()) {
         // No lazy-greedy shortcut here: under the non-submodular service
         // function a facility's marginal gain may exceed its individual
@@ -43,7 +38,7 @@ pub fn greedy(
         // each round.
         let remaining: Vec<usize> = (0..table.len()).filter(|&i| !used[i]).collect();
         let gains = parallel::par_map(&remaining, |&i| {
-            cov.marginal_views(users, model, arena.candidate(i))
+            cov.marginal(users, model, &table.masks[i])
         });
         let mut best: Option<(usize, f64)> = None;
         for (&i, &gain) in remaining.iter().zip(&gains) {
@@ -60,7 +55,7 @@ pub fn greedy(
         }
         let Some((bi, _)) = best else { break };
         used[bi] = true;
-        cov.add_views(users, model, arena.candidate(bi));
+        cov.add(users, model, &table.masks[bi]);
         chosen.push(table.ids[bi]);
     }
     CovOutcome {

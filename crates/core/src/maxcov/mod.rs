@@ -20,11 +20,13 @@
 //!
 //! The overlap-aware aggregation `AGG` is realized by [`Coverage`]: the
 //! union of per-user served-point masks, under which every scenario's value
-//! function is monotone.
+//! function is monotone. A table's per-facility masks are [`MaskRow`]s:
+//! canonically ordered, structurally shared rows the solvers read in place.
 
 pub mod exact;
 pub mod genetic;
 pub mod greedy;
+pub mod row;
 
 use crate::eval::EvalStats;
 use crate::fasthash::FxHashMap;
@@ -36,6 +38,7 @@ use tq_trajectory::{FacilityId, FacilitySet, TrajectoryId, UserSet};
 pub use exact::exact;
 pub use genetic::{genetic, GeneticConfig};
 pub use greedy::{greedy, two_step_greedy};
+pub use row::{MaskRow, RowEdit, RowEntry, RowIter, ROW_CHUNK};
 
 /// Complete served-point masks for a set of candidate facilities, the input
 /// to every MaxkCovRST solver.
@@ -46,9 +49,10 @@ pub use greedy::{greedy, two_step_greedy};
 pub struct ServedTable {
     /// Candidate facility ids, parallel to `masks` / `values`.
     pub ids: Vec<FacilityId>,
-    /// Per-candidate served masks.
-    pub masks: Vec<FxHashMap<TrajectoryId, PointMask>>,
-    /// Per-candidate individual service values.
+    /// Per-candidate served masks, one canonically ordered row each.
+    pub masks: Vec<MaskRow>,
+    /// Per-candidate individual service values (each equal to its row's
+    /// [`MaskRow::value`]).
     pub values: Vec<f64>,
     /// Aggregated evaluation counters.
     pub stats: EvalStats,
@@ -111,8 +115,8 @@ impl ServedTable {
         parallel::with_threads(threads, || Self::build(tree, users, model, facilities))
     }
 
-    /// Builds a table from externally computed masks (used by the baseline
-    /// crate so `G-BL` flows through the same solvers).
+    /// Builds a table from externally computed mask maps (used by the
+    /// sharded front end to merge per-shard tables).
     pub fn from_masks(
         users: &UserSet,
         model: &ServiceModel,
@@ -120,10 +124,17 @@ impl ServedTable {
         masks: Vec<FxHashMap<TrajectoryId, PointMask>>,
         stats: EvalStats,
     ) -> ServedTable {
-        let values = masks
-            .iter()
-            .map(|m| crate::eval::canonical_value(users, model, m))
+        let rows = masks
+            .into_iter()
+            .map(|m| MaskRow::from_map(users, model, m))
             .collect();
+        Self::from_rows(ids, rows, stats)
+    }
+
+    /// Builds a table from finished rows (used by the baseline backend so
+    /// `G-BL` flows through the same solvers).
+    pub fn from_rows(ids: Vec<FacilityId>, masks: Vec<MaskRow>, stats: EvalStats) -> ServedTable {
+        let values = masks.iter().map(MaskRow::value).collect();
         ServedTable {
             ids,
             masks,
@@ -142,132 +153,6 @@ impl ServedTable {
         self.ids.is_empty()
     }
 }
-
-/// Returns a mask map's entries sorted by ascending trajectory id — the
-/// canonical accumulation order shared with
-/// [`canonical_value`](crate::eval::canonical_value).
-pub(crate) fn sorted_entries(
-    masks: &FxHashMap<TrajectoryId, PointMask>,
-) -> Vec<(TrajectoryId, &PointMask)> {
-    let mut entries: Vec<(TrajectoryId, &PointMask)> =
-        masks.iter().map(|(id, m)| (*id, m)).collect();
-    entries.sort_unstable_by_key(|(id, _)| *id);
-    entries
-}
-
-/// Adapts sorted `(id, &mask)` entries to the streamed-view form the
-/// [`Coverage`] kernels take.
-fn entry_views<'a>(
-    entries: &'a [(TrajectoryId, &'a PointMask)],
-) -> impl Iterator<Item = (TrajectoryId, MaskView<'a>)> {
-    entries.iter().map(|&(id, m)| (id, m.view()))
-}
-
-/// Every candidate's served masks flattened into one contiguous word arena,
-/// in canonical (ascending trajectory id) order per candidate — built **once
-/// per solve**.
-///
-/// The solvers' inner loops (greedy rounds, genetic fitness, branch-and-bound
-/// nodes) re-visit the same immutable masks thousands of times; walking a
-/// hash map of boxed masks per visit pointer-chases all over the heap. The
-/// arena stores every candidate's `(trajectory, mask)` entries back to back —
-/// ids and offsets in one vector, all mask words in another — so scoring one
-/// candidate is a single linear sweep through memory.
-#[derive(Debug, Clone)]
-pub struct MaskArena {
-    /// All candidates' live mask words, concatenated.
-    words: Vec<u64>,
-    /// All candidates' entries, concatenated: id, word offset, point count.
-    entries: Vec<ArenaEntry>,
-    /// Per-candidate `entries` span.
-    ranges: Vec<(u32, u32)>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct ArenaEntry {
-    id: TrajectoryId,
-    off: u32,
-    nbits: u32,
-}
-
-impl MaskArena {
-    /// Flattens one mask map per candidate, each in canonical ascending-id
-    /// order (the accumulation order of
-    /// [`canonical_value`](crate::eval::canonical_value)).
-    pub fn from_maps<'a>(
-        maps: impl IntoIterator<Item = &'a FxHashMap<TrajectoryId, PointMask>>,
-    ) -> MaskArena {
-        let mut arena = MaskArena {
-            words: Vec::new(),
-            entries: Vec::new(),
-            ranges: Vec::new(),
-        };
-        for map in maps {
-            let start = arena.entries.len() as u32;
-            for (id, mask) in sorted_entries(map) {
-                let off = arena.words.len() as u32;
-                arena.words.extend_from_slice(mask.view().words());
-                arena.entries.push(ArenaEntry {
-                    id,
-                    off,
-                    nbits: mask.nbits() as u32,
-                });
-            }
-            arena.ranges.push((start, arena.entries.len() as u32));
-        }
-        arena
-    }
-
-    /// The arena of a full [`ServedTable`] (one candidate per table row).
-    pub fn from_table(table: &ServedTable) -> MaskArena {
-        Self::from_maps(table.masks.iter())
-    }
-
-    /// Number of candidates.
-    pub fn len(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// Returns `true` when the arena has no candidates.
-    pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
-    }
-
-    /// Streams candidate `ci`'s `(trajectory, mask)` entries in canonical
-    /// ascending-id order.
-    pub fn candidate(&self, ci: usize) -> ArenaCandidate<'_> {
-        let (start, end) = self.ranges[ci];
-        ArenaCandidate {
-            arena: self,
-            idx: start as usize..end as usize,
-        }
-    }
-}
-
-/// Iterator over one arena candidate's `(TrajectoryId, MaskView)` entries.
-#[derive(Debug, Clone)]
-pub struct ArenaCandidate<'a> {
-    arena: &'a MaskArena,
-    idx: std::ops::Range<usize>,
-}
-
-impl<'a> Iterator for ArenaCandidate<'a> {
-    type Item = (TrajectoryId, MaskView<'a>);
-
-    #[inline]
-    fn next(&mut self) -> Option<Self::Item> {
-        let e = self.arena.entries[self.idx.next()?];
-        let nwords = (e.nbits as usize).div_ceil(64);
-        let words = &self.arena.words[e.off as usize..e.off as usize + nwords];
-        Some((e.id, MaskView::new(e.nbits as usize, words)))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.idx.size_hint()
-    }
-}
-
-impl ExactSizeIterator for ArenaCandidate<'_> {}
 
 /// Undo journal for one [`Coverage::add`] (used by the branch-and-bound
 /// solver to backtrack cheaply).
@@ -308,22 +193,18 @@ impl Coverage {
     ///
     /// Per-user gains accumulate in ascending trajectory id order (the same
     /// canonical order as [`crate::eval::canonical_value`]), so the gain is
-    /// bit-identical for any two content-equal mask maps regardless of their
-    /// internal hash-map layout.
+    /// bit-identical for any two content-equal rows.
     pub fn marginal(
         &self,
         users: &UserSet,
         model: &ServiceModel,
-        facility_masks: &FxHashMap<TrajectoryId, PointMask>,
+        facility_masks: &MaskRow,
     ) -> f64 {
-        self.marginal_views(users, model, entry_views(&sorted_entries(facility_masks)))
+        self.marginal_views(users, model, facility_masks.views())
     }
 
     /// [`Coverage::marginal`] over streamed views in canonical ascending-id
-    /// order (as produced by [`MaskArena::candidate`]). Callers evaluating
-    /// the same facility repeatedly — every greedy round re-scores every
-    /// remaining candidate — flatten once into an arena and stream instead
-    /// of paying the sort per call.
+    /// order (as produced by [`MaskRow::views`]).
     ///
     /// This path never materializes a union: a streamed
     /// [`PointMask::union_would_change`] word test decides whether the user
@@ -385,13 +266,8 @@ impl Coverage {
     }
 
     /// Adds a facility's masks, returning the realized marginal gain.
-    pub fn add(
-        &mut self,
-        users: &UserSet,
-        model: &ServiceModel,
-        facility_masks: &FxHashMap<TrajectoryId, PointMask>,
-    ) -> f64 {
-        self.add_with_undo_views(users, model, entry_views(&sorted_entries(facility_masks)), None)
+    pub fn add(&mut self, users: &UserSet, model: &ServiceModel, facility_masks: &MaskRow) -> f64 {
+        self.add_with_undo_views(users, model, facility_masks.views(), None)
     }
 
     /// [`Coverage::add`] with the mask sizes validated up front: when any
@@ -405,10 +281,9 @@ impl Coverage {
         &mut self,
         users: &UserSet,
         model: &ServiceModel,
-        facility_masks: &FxHashMap<TrajectoryId, PointMask>,
+        facility_masks: &MaskRow,
     ) -> Result<f64, MaskSizeMismatch> {
-        let entries = sorted_entries(facility_masks);
-        for &(id, fmask) in &entries {
+        for (&id, fmask) in facility_masks {
             let expect = match self.masks.get(&id) {
                 Some(cur) => cur.nbits(),
                 None => users.get(id).len(),
@@ -420,10 +295,10 @@ impl Coverage {
                 });
             }
         }
-        Ok(self.add_with_undo_views(users, model, entry_views(&entries), None))
+        Ok(self.add_with_undo_views(users, model, facility_masks.views(), None))
     }
 
-    /// [`Coverage::add`] over streamed views (see [`MaskArena::candidate`]).
+    /// [`Coverage::add`] over streamed views (see [`MaskRow::views`]).
     pub fn add_views<'a>(
         &mut self,
         users: &UserSet,
@@ -438,9 +313,9 @@ impl Coverage {
         &mut self,
         users: &UserSet,
         model: &ServiceModel,
-        facility_masks: &FxHashMap<TrajectoryId, PointMask>,
+        facility_masks: &MaskRow,
     ) -> CoverageUndo {
-        self.add_undoable_views(users, model, entry_views(&sorted_entries(facility_masks)))
+        self.add_undoable_views(users, model, facility_masks.views())
     }
 
     /// [`Coverage::add_undoable`] over streamed views.
@@ -524,21 +399,6 @@ impl Coverage {
         let mut cov = Coverage::new();
         for &i in subset {
             cov.add(users, model, &table.masks[i]);
-        }
-        cov.value()
-    }
-
-    /// [`Coverage::value_of_subset`] streaming candidates out of a
-    /// pre-built [`MaskArena`] — the genetic solver's fitness hot path.
-    pub fn value_of_subset_arena(
-        arena: &MaskArena,
-        users: &UserSet,
-        model: &ServiceModel,
-        subset: &[usize],
-    ) -> f64 {
-        let mut cov = Coverage::new();
-        for &i in subset {
-            cov.add_views(users, model, arena.candidate(i));
         }
         cov.value()
     }
@@ -639,24 +499,27 @@ mod tests {
     fn try_add_rejects_mismatched_masks_without_mutating() {
         let users = UserSet::from_vec(vec![Trajectory::two_point(p(0.0, 0.0), p(4.0, 0.0))]);
         let model = ServiceModel::new(Scenario::Transit, 1.0);
-        let mut good = FxHashMap::default();
         let mut mask = PointMask::empty(2);
         mask.set(0);
         mask.set(1);
-        good.insert(0u32, mask);
+        let good = MaskRow::from_sorted(&users, &model, [(0u32, mask)]);
         let mut cov = Coverage::new();
         assert_eq!(cov.try_add(&users, &model, &good), Ok(1.0));
         // A decoded mask claiming the wrong point count must be refused
         // with the typed error, leaving the coverage untouched.
-        let mut bad = FxHashMap::default();
-        bad.insert(0u32, PointMask::empty(130));
+        // (The row's own fold evaluates masks against the users, so the
+        // mismatched row is assembled against a 130-point stand-in.)
+        let long = UserSet::from_vec(vec![Trajectory::new(
+            (0..130).map(|i| p(i as f64, 0.0)).collect(),
+        )]);
+        let bad = MaskRow::from_sorted(&long, &model, [(0u32, PointMask::empty(130))]);
         let err = cov.try_add(&users, &model, &bad).unwrap_err();
         assert_eq!(err, crate::service::MaskSizeMismatch { dst: 2, src: 130 });
         assert_eq!(cov.value(), 1.0);
     }
 
     #[test]
-    fn arena_streams_canonical_entries() {
+    fn rows_stream_canonical_entries() {
         let users = UserSet::from_vec(vec![
             Trajectory::two_point(p(0.0, 0.0), p(4.0, 0.0)),
             Trajectory::two_point(p(1.0, 0.0), p(5.0, 0.0)),
@@ -668,22 +531,21 @@ mod tests {
         ]);
         let tree = TqTree::build(&users, crate::tqtree::TqTreeConfig::default());
         let table = ServedTable::build(&tree, &users, &model, &facilities);
-        let arena = MaskArena::from_table(&table);
-        assert_eq!(arena.len(), table.len());
         for ci in 0..table.len() {
-            let streamed: Vec<(TrajectoryId, PointMask)> = arena
-                .candidate(ci)
+            let streamed: Vec<(TrajectoryId, PointMask)> = table.masks[ci]
+                .views()
                 .map(|(id, v)| (id, v.to_mask()))
                 .collect();
-            let sorted: Vec<(TrajectoryId, PointMask)> = sorted_entries(&table.masks[ci])
-                .into_iter()
-                .map(|(id, m)| (id, m.clone()))
+            let mut sorted: Vec<(TrajectoryId, PointMask)> = table.masks[ci]
+                .iter()
+                .map(|(id, m)| (*id, m.clone()))
                 .collect();
+            sorted.sort_unstable_by_key(|(id, _)| *id);
             assert_eq!(streamed, sorted, "candidate {ci}");
-            // And the streamed marginal agrees bitwise with the map-based one.
+            // And the streamed marginal agrees bitwise with the row-based one.
             let cov = Coverage::new();
             assert_eq!(
-                cov.marginal_views(&users, &model, arena.candidate(ci)).to_bits(),
+                cov.marginal_views(&users, &model, table.masks[ci].views()).to_bits(),
                 cov.marginal(&users, &model, &table.masks[ci]).to_bits(),
             );
         }

@@ -82,8 +82,8 @@ use crate::baseline::BaselineIndex;
 use crate::dynamic::Update;
 use crate::engine::{Backend, Engine, EngineError};
 use crate::eval::EvalStats;
-use crate::fasthash::FxHashMap;
-use crate::maxcov::ServedTable;
+use crate::maxcov::row::RowBuilder;
+use crate::maxcov::{MaskRow, ServedTable};
 use crate::service::{PointMask, Scenario, ServiceModel};
 use crate::tqtree::{self, Placement};
 use crate::engine::Snapshot;
@@ -97,7 +97,7 @@ use tq_store::snapshot::{SnapshotMeta, BACKEND_BASELINE, BACKEND_TQTREE};
 use tq_store::store::Store;
 use tq_store::StoreError;
 pub use tq_store::{StoreConfig, SyncPolicy};
-use tq_trajectory::{FacilitySet, TrajectoryId, UserSet};
+use tq_trajectory::{FacilitySet, UserSet};
 
 /// Test-only knob: milliseconds a *background* checkpoint sleeps between
 /// encoding its image and staging it to disk, to widen the apply/
@@ -310,19 +310,18 @@ fn get_mask(r: &mut Reader, n_points: usize) -> Result<PointMask, StoreError> {
 /// Layout: per facility (ids are implicit — a full table is `0..n` by
 /// construction), one length-prefixed blob holding the value and the
 /// served-mask entries, delta-varint-coded in ascending trajectory order
-/// (hash-map iteration order is not canonical; sorting also buys the
-/// 1-byte deltas). The length prefixes are what let [`get_table`] hand
-/// each facility's blob to a different thread.
+/// (the rows' own order, which also buys the 1-byte deltas). The length
+/// prefixes are what let [`get_table`] hand each facility's blob to a
+/// different thread.
 fn put_table(table: &ServedTable, buf: &mut BytesMut) {
     buf.put_u32_le(table.ids.len() as u32);
     let mut blob = BytesMut::with_capacity(1 << 16);
     for (i, _) in table.ids.iter().enumerate() {
         blob.put_f64_le(table.values[i]);
-        let mut entries: Vec<(&u32, &PointMask)> = table.masks[i].iter().collect();
-        entries.sort_by_key(|(id, _)| **id);
-        put_varint_u32(&mut blob, entries.len() as u32);
+        let row = &table.masks[i];
+        put_varint_u32(&mut blob, row.len() as u32);
         let mut prev: u32 = 0;
-        for (&traj, mask) in entries {
+        for (&traj, mask) in row {
             // First delta is from 0, later ones from predecessor + 1
             // (ids strictly increase).
             put_varint_u32(&mut blob, traj - prev);
@@ -344,11 +343,14 @@ fn put_table(table: &ServedTable, buf: &mut BytesMut) {
     }
 }
 
-/// Decodes one facility's blob of [`put_table`].
+/// Decodes one facility's blob of [`put_table`]. The row re-folds its
+/// value from the decoded entries, which must reproduce the stored value
+/// bit for bit.
 fn get_facility_blob(
     blob: &bytes::Bytes,
     users: &UserSet,
-) -> Result<(f64, FxHashMap<TrajectoryId, PointMask>), StoreError> {
+    model: &ServiceModel,
+) -> Result<(f64, MaskRow), StoreError> {
     let mut r = Reader::new(blob.clone());
     let value = r.f64()?;
     let entries = r.varint_u32()? as usize;
@@ -358,8 +360,7 @@ fn get_facility_blob(
             r.remaining()
         )));
     }
-    let mut map: FxHashMap<TrajectoryId, PointMask> = FxHashMap::default();
-    map.reserve(entries);
+    let mut row = RowBuilder::default();
     let mut next: u64 = 0;
     for _ in 0..entries {
         let traj = next + r.varint_u32()? as u64;
@@ -370,16 +371,25 @@ fn get_facility_blob(
             )));
         }
         next = traj + 1;
-        let mask = get_mask(&mut r, users.get(traj as u32).len())?;
-        map.insert(traj as u32, mask);
+        let t = users.get(traj as u32);
+        let mask = get_mask(&mut r, t.len())?;
+        row.push_for(t, model, traj as u32, mask);
     }
     r.finish()?;
-    Ok((value, map))
+    let row = row.finish();
+    if row.value().to_bits() != value.to_bits() {
+        return Err(corrupt(format!(
+            "facility value {value} disagrees with its entries' {}",
+            row.value()
+        )));
+    }
+    Ok((value, row))
 }
 
 fn get_table(
     r: &mut Reader,
     users: &UserSet,
+    model: &ServiceModel,
     n_facilities: usize,
 ) -> Result<ServedTable, StoreError> {
     let n = r.count(4)?;
@@ -395,13 +405,13 @@ fn get_table(
     }
     // Blobs are independent — fan the map reconstruction out (this is the
     // bulkiest section of a warmed snapshot).
-    let decoded = crate::parallel::par_map(&blobs, |blob| get_facility_blob(blob, users));
+    let decoded = crate::parallel::par_map(&blobs, |blob| get_facility_blob(blob, users, model));
     let mut values = Vec::with_capacity(n);
     let mut masks = Vec::with_capacity(n);
     for d in decoded {
-        let (value, map) = d?;
+        let (value, row) = d?;
         values.push(value);
-        masks.push(map);
+        masks.push(row);
     }
     let mut stats_fields = [0usize; 5];
     for f in &mut stats_fields {
@@ -578,7 +588,7 @@ pub(crate) fn decode_engine(
     };
     let full_table = match r.u8()? {
         0 => None,
-        1 => Some(get_table(&mut r, &users, facilities.len())?),
+        1 => Some(get_table(&mut r, &users, &model, facilities.len())?),
         other => return Err(corrupt(format!("table tag {other}"))),
     };
     r.finish()?;

@@ -22,8 +22,9 @@
 //! start into [`Explain::queued`](crate::engine::Explain::queued), and
 //! answers through [`Snapshot::run`](crate::engine::Snapshot::run) —
 //! lock-free, on whatever epoch was current when the request started.
-//! Updates never stall readers: while the writer copy-on-write-patches
-//! the next epoch, every shard keeps answering on the epochs it holds.
+//! Updates never stall readers: while the writer builds the next epoch
+//! (sharing every chunk it does not touch), every shard keeps answering
+//! on the epochs it holds.
 //!
 //! Evaluation fan-out composes instead of oversubscribing: each shard
 //! installs a per-session thread budget

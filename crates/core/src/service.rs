@@ -36,8 +36,8 @@
 //!   (float addition is order-sensitive).
 //!
 //! [`MaskView`] is the borrowed form of a mask (length + word slice); it lets
-//! solver hot paths stream masks out of a flat arena
-//! ([`crate::maxcov::MaskArena`]) without per-user allocations, and
+//! solver hot paths stream masks out of table rows
+//! ([`crate::maxcov::MaskRow::views`]) without per-user allocations, and
 //! [`ServiceModel::value_union`] evaluates the value of the OR of two masks
 //! without materializing it.
 
@@ -92,11 +92,29 @@ impl ServiceModel {
     /// Monotone in the mask: setting more bits never lowers the value.
     #[inline]
     pub fn value(&self, u: &Trajectory, mask: &PointMask) -> f64 {
-        self.value_view(u, mask.view())
+        match self.scenario {
+            // The same two bits `value_view` reads, without building the
+            // view first: table builds and snapshot decode fold this once
+            // per entry.
+            Scenario::Transit => {
+                debug_assert_eq!(mask.nbits(), u.len(), "mask/trajectory length mismatch");
+                if mask.get(0) && mask.get(u.len() - 1) {
+                    1.0
+                } else {
+                    0.0
+                }
+            }
+            _ => self.value_view(u, mask.view()),
+        }
     }
 
     /// [`ServiceModel::value`] over a borrowed [`MaskView`] — the form the
-    /// solver hot paths use to stream masks out of a flat arena.
+    /// solver hot paths use to stream masks out of table rows.
+    ///
+    /// Inlined: the two binary/count scenarios are a few instructions,
+    /// and the callers (row folds, greedy gains, snapshot decode) run it
+    /// once per entry; the segment-length scenario stays out of line.
+    #[inline]
     pub fn value_view(&self, u: &Trajectory, mask: MaskView<'_>) -> f64 {
         debug_assert_eq!(mask.nbits(), u.len(), "mask/trajectory length mismatch");
         match self.scenario {
@@ -108,20 +126,7 @@ impl ServiceModel {
                 }
             }
             Scenario::PointCount => mask.count_ones() as f64 / u.len() as f64,
-            Scenario::Length => {
-                let total = u.length();
-                if total <= 0.0 {
-                    // Degenerate zero-length trajectory: fall back to the
-                    // binary semantics so the value stays in [0, 1].
-                    return if mask.count_ones() as usize == u.len() {
-                        1.0
-                    } else {
-                        0.0
-                    };
-                }
-                let words = mask.words();
-                segment_sum(u, words.len(), |i| words[i]) / total
-            }
+            Scenario::Length => length_value(u, mask),
         }
     }
 
@@ -474,8 +479,9 @@ impl PointMask {
 
 /// A borrowed mask: point count plus exactly `⌈nbits / 64⌉` live words.
 ///
-/// This is how the solvers stream masks out of the flat
-/// [`crate::maxcov::MaskArena`] — same kernels, no per-mask ownership.
+/// This is how the solvers stream masks out of table rows
+/// ([`crate::maxcov::MaskRow::views`]) — same kernels, no per-mask
+/// ownership.
 #[derive(Debug, Clone, Copy)]
 pub struct MaskView<'a> {
     nbits: u32,
@@ -521,6 +527,24 @@ impl<'a> MaskView<'a> {
     pub fn to_mask(&self) -> PointMask {
         PointMask::from_words(self.nbits as usize, self.words)
     }
+}
+
+/// The Scenario-3 value of [`ServiceModel::value_view`]: the served share
+/// of the trajectory's length.
+#[inline(never)]
+fn length_value(u: &Trajectory, mask: MaskView<'_>) -> f64 {
+    let total = u.length();
+    if total <= 0.0 {
+        // Degenerate zero-length trajectory: fall back to the binary
+        // semantics so the value stays in [0, 1].
+        return if mask.count_ones() as usize == u.len() {
+            1.0
+        } else {
+            0.0
+        };
+    }
+    let words = mask.words();
+    segment_sum(u, words.len(), |i| words[i]) / total
 }
 
 /// Aggregated admissible service upper bounds for a set of stored items —

@@ -21,7 +21,7 @@
 //! max-cov would speak over `tqd` connections, which is why it is a trait
 //! and not three inlined loops.
 
-use crate::maxcov::{Coverage, MaskArena, ServedTable};
+use crate::maxcov::{Coverage, ServedTable};
 use crate::service::ServiceModel;
 use std::sync::Arc;
 use tq_trajectory::{FacilityId, TrajectoryId, UserSet};
@@ -44,13 +44,12 @@ pub trait GainCombiner {
     fn users_served(&self) -> usize;
 }
 
-/// The in-process [`GainCombiner`]: a shard's served masks flattened into
-/// a [`MaskArena`], its local→global id map, and a local [`Coverage`]
-/// keyed by shard-local ids.
+/// The in-process [`GainCombiner`]: a shard's served table (its rows are
+/// already in canonical order), its local→global id map, and a local
+/// [`Coverage`] keyed by shard-local ids.
 pub struct LocalGains {
-    /// Per-candidate canonical-order masks, flattened once per solve like
-    /// plain greedy's [`MaskArena::from_table`].
-    arena: MaskArena,
+    /// Per-candidate canonical-order masks, read in place.
+    table: Arc<ServedTable>,
     /// Shard-local id → global id (monotone by construction).
     locals: Arc<Vec<TrajectoryId>>,
     users: Arc<UserSet>,
@@ -67,7 +66,7 @@ impl LocalGains {
         model: ServiceModel,
     ) -> LocalGains {
         LocalGains {
-            arena: MaskArena::from_table(&table),
+            table,
             locals,
             users,
             model,
@@ -86,7 +85,7 @@ impl GainCombiner for LocalGains {
                 self.cov.marginal_deltas_views(
                     &self.users,
                     &self.model,
-                    self.arena.candidate(ci),
+                    self.table.masks[ci].views(),
                     &mut scratch,
                 );
                 scratch
@@ -99,15 +98,15 @@ impl GainCombiner for LocalGains {
 
     fn commit(&mut self, winner: usize) {
         // Field-disjoint borrows: `cov` is mutated while the mask views
-        // stream out of `arena`.
+        // stream out of `table`.
         let LocalGains {
-            arena,
+            table,
             users,
             model,
             cov,
             ..
         } = self;
-        cov.add_views(users, model, arena.candidate(winner));
+        cov.add(users, model, &table.masks[winner]);
     }
 
     fn users_served(&self) -> usize {

@@ -35,7 +35,7 @@ impl TqTree {
         let items = make_items(users, config.placement);
         let item_count = items.len();
         let mut tree = TqTree {
-            nodes: Vec::new(),
+            nodes: Default::default(),
             free: Vec::new(),
             config,
             bounds,
@@ -215,13 +215,13 @@ mod tests {
         // Root keeps the four trajectories that straddle the vertical
         // midline at the top (u1..u4).
         let root = tree.node(super::super::ROOT);
-        let mut root_ids: Vec<u32> = root.list.items().iter().map(|i| i.traj).collect();
+        let mut root_ids: Vec<u32> = root.list.items().map(|i| i.traj).collect();
         root_ids.sort_unstable();
         assert_eq!(root_ids, vec![0, 1, 2, 3]);
         // The SW child exists and keeps u5..u8 as inter-node items.
         let sw = root.children[0].expect("SW child");
         let sw_node = tree.node(sw);
-        let mut sw_ids: Vec<u32> = sw_node.list.items().iter().map(|i| i.traj).collect();
+        let mut sw_ids: Vec<u32> = sw_node.list.items().map(|i| i.traj).collect();
         sw_ids.sort_unstable();
         assert_eq!(sw_ids, vec![4, 5, 6, 7]);
         assert!(!sw_node.is_leaf());
@@ -229,7 +229,7 @@ mod tests {
         let se = root.children[1].expect("SE child");
         let se_node = tree.node(se);
         assert!(se_node.is_leaf());
-        let mut se_ids: Vec<u32> = se_node.list.items().iter().map(|i| i.traj).collect();
+        let mut se_ids: Vec<u32> = se_node.list.items().map(|i| i.traj).collect();
         se_ids.sort_unstable();
         assert_eq!(se_ids, vec![10, 11]);
     }

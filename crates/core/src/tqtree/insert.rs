@@ -138,8 +138,8 @@ impl TqTree {
                 items.insert(pos, item);
             }
             NodeList::Z(z) if !z.is_empty() => z.insert_item(item),
-            NodeList::Z(_) => {
-                node.list = match self.config.storage {
+            list @ NodeList::Z(_) => {
+                *list = match self.config.storage {
                     super::Storage::Basic => NodeList::Basic(vec![item]),
                     super::Storage::ZOrder => {
                         NodeList::Z(super::ZList::build(rect, vec![item], self.config.beta))

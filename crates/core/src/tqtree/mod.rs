@@ -20,6 +20,7 @@
 //! and `FullTrajectory` (whole multipoint trajectories stored at the lowest
 //! node that contains them, the F-TQ).
 
+pub mod arena;
 mod build;
 mod insert;
 pub mod item;
@@ -29,6 +30,7 @@ mod stats;
 pub mod zlist;
 pub mod zpartition;
 
+pub use arena::{NodeArena, NODE_CHUNK};
 pub use insert::InsertError;
 pub use item::{StoredItem, WHOLE};
 pub use remove::RemoveError;
@@ -38,6 +40,7 @@ pub use zpartition::ZPartition;
 
 use crate::service::ServiceBounds;
 use tq_geometry::Rect;
+use std::sync::Arc;
 use tq_trajectory::UserSet;
 
 /// Index into the TQ-tree's node arena.
@@ -130,22 +133,31 @@ pub enum NodeList {
 }
 
 impl NodeList {
-    /// The stored items (sorted for [`NodeList::Z`]).
-    pub fn items(&self) -> &[StoredItem] {
+    /// The stored items as consecutive slices, in list order (sorted for
+    /// [`NodeList::Z`], whose storage is chunked).
+    pub fn slices(&self) -> Box<dyn Iterator<Item = &[StoredItem]> + '_> {
         match self {
-            NodeList::Basic(v) => v,
-            NodeList::Z(z) => z.items(),
+            NodeList::Basic(v) => Box::new(std::iter::once(v.as_slice())),
+            NodeList::Z(z) => Box::new(z.slices()),
         }
+    }
+
+    /// The stored items, in list order.
+    pub fn items(&self) -> impl Iterator<Item = &StoredItem> + '_ {
+        self.slices().flatten()
     }
 
     /// Number of items.
     pub fn len(&self) -> usize {
-        self.items().len()
+        match self {
+            NodeList::Basic(v) => v.len(),
+            NodeList::Z(z) => z.len(),
+        }
     }
 
     /// Returns `true` when no items are stored.
     pub fn is_empty(&self) -> bool {
-        self.items().is_empty()
+        self.len() == 0
     }
 }
 
@@ -159,7 +171,8 @@ pub struct QNode {
     /// Children in Z order; `None` entries are empty quadrants.
     pub children: [Option<NodeId>; 4],
     /// The trajectories stored *at* this node (inter-node for internal
-    /// nodes, intra-node for leaves).
+    /// nodes, intra-node for leaves). A z-list's chunks are shared across
+    /// tree versions until a version edits them (see [`zlist`]).
     pub list: NodeList,
     /// Service upper bounds over this node's own list (the list part of
     /// `sub`).
@@ -184,12 +197,14 @@ impl QNode {
 /// The Trajectory Quadtree.
 ///
 /// Built over a [`UserSet`] with [`TqTree::build`]; supports dynamic
-/// insertion via [`TqTree::insert`] (see `insert.rs`). Queries live in
+/// insertion via [`TqTree::insert`] (see `insert.rs`). A clone shares
+/// every node chunk and list with the original, and later edits copy only
+/// what they touch ([`arena`]). Queries live in
 /// [`crate::eval`] (service evaluation), [`crate::topk`] (kMaxRRST) and
 /// [`crate::maxcov`] (MaxkCovRST).
 #[derive(Debug, Clone)]
 pub struct TqTree {
-    pub(crate) nodes: Vec<QNode>,
+    pub(crate) nodes: NodeArena,
     /// Arena slots reclaimed by removals, reused by later inserts so the
     /// arena does not grow without bound under insert/remove churn.
     pub(crate) free: Vec<NodeId>,
@@ -221,6 +236,12 @@ impl TqTree {
     #[inline]
     pub fn node_count(&self) -> usize {
         self.nodes.len() - self.free.len()
+    }
+
+    /// The node arena's chunks — for checking which chunks two tree
+    /// versions share (`Arc::ptr_eq`).
+    pub fn node_chunks(&self) -> &[Arc<Vec<QNode>>] {
+        self.nodes.chunks()
     }
 
     /// Allocates an arena slot for `node`, reusing a reclaimed slot when one
@@ -348,8 +369,8 @@ impl TqTree {
             if let NodeList::Z(z) = &node.list {
                 if !z
                     .items()
-                    .windows(2)
-                    .all(|w| (w[0].start_z, w[0].end_z) <= (w[1].start_z, w[1].end_z))
+                    .zip(z.items().skip(1))
+                    .all(|(a, b)| (a.start_z, a.end_z) <= (b.start_z, b.end_z))
                 {
                     return Err(format!("z-list of node {id} not sorted"));
                 }
@@ -396,7 +417,7 @@ impl TqTree {
     /// Rough memory footprint in bytes (arena + lists), for the storage-cost
     /// discussion of paper §III-B.
     pub fn memory_bytes(&self) -> usize {
-        let mut total = self.nodes.capacity() * std::mem::size_of::<QNode>();
+        let mut total = self.nodes.chunks().len() * NODE_CHUNK * std::mem::size_of::<QNode>();
         for (_, node) in self.iter_nodes() {
             total += node.list.len() * std::mem::size_of::<StoredItem>();
         }

@@ -224,7 +224,7 @@ pub(crate) fn encode_tree(tree: &TqTree, buf: &mut BytesMut) {
     // can hand the blobs — the bulk of the arena — to parallel workers.
     buf.put_u32_le(tree.nodes.len() as u32);
     let mut blob = BytesMut::with_capacity(1 << 12);
-    for node in &tree.nodes {
+    for node in tree.nodes.iter() {
         if node.dead {
             // A reclaimed slot carries no information beyond its deadness;
             // its payload was cleared by `release_node`.
@@ -362,7 +362,7 @@ pub(crate) fn decode_tree(r: &mut Reader, users: &UserSet) -> Result<TqTree, Sto
         return Err(corrupt("root slot is dead"));
     }
     Ok(TqTree {
-        nodes,
+        nodes: super::NodeArena::from_vec(nodes),
         free,
         config,
         bounds,
@@ -425,15 +425,14 @@ mod tests {
                 assert_eq!(back.item_count(), tree.item_count());
                 assert_eq!(back.bounds(), tree.bounds());
                 assert_eq!(back.config(), tree.config());
-                for (a, b) in tree.nodes.iter().zip(&back.nodes) {
+                for (a, b) in tree.nodes.iter().zip(back.nodes.iter()) {
                     assert_eq!(a.rect, b.rect);
                     assert_eq!(a.depth, b.depth);
                     assert_eq!(a.children, b.children);
                     assert_eq!(a.own.s1.to_bits(), b.own.s1.to_bits());
                     assert_eq!(a.sub.s3.to_bits(), b.sub.s3.to_bits());
-                    let (ai, bi) = (a.list.items(), b.list.items());
-                    assert_eq!(ai.len(), bi.len());
-                    for (x, y) in ai.iter().zip(bi) {
+                    assert_eq!(a.list.len(), b.list.len());
+                    for (x, y) in a.list.items().zip(b.list.items()) {
                         assert_eq!((x.traj, x.seg), (y.traj, y.seg));
                         assert_eq!(x.start_z, y.start_z);
                         assert_eq!(x.end_z, y.end_z);
@@ -500,7 +499,7 @@ mod tests {
         // Same shape after identical histories: arena slot for slot.
         assert_eq!(original.nodes.len(), decoded.nodes.len());
         assert_eq!(original.free, decoded.free);
-        for (x, y) in original.nodes.iter().zip(&decoded.nodes) {
+        for (x, y) in original.nodes.iter().zip(decoded.nodes.iter()) {
             assert_eq!(x.dead, y.dead);
             assert_eq!(x.children, y.children);
             assert_eq!(x.list.len(), y.list.len());

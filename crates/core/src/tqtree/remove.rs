@@ -164,7 +164,7 @@ impl TqTree {
             NodeList::Basic(Vec::new()),
         ) {
             NodeList::Basic(v) => v,
-            NodeList::Z(z) => z.items().to_vec(),
+            NodeList::Z(z) => z.items().copied().collect(),
         };
         let children = std::mem::take(&mut self.nodes[id as usize].children);
         for child in children.into_iter().flatten() {
@@ -186,13 +186,11 @@ impl TqTree {
     /// subtree's arena slots.
     fn drain_subtree(&mut self, id: NodeId, out: &mut Vec<StoredItem>) {
         let children = std::mem::take(&mut self.nodes[id as usize].children);
-        match std::mem::replace(
+        let list = std::mem::replace(
             &mut self.nodes[id as usize].list,
             NodeList::Basic(Vec::new()),
-        ) {
-            NodeList::Basic(v) => out.extend(v),
-            NodeList::Z(z) => out.extend_from_slice(z.items()),
-        }
+        );
+        out.extend(list.items().copied());
         for child in children.into_iter().flatten() {
             self.drain_subtree(child, out);
         }
@@ -200,14 +198,45 @@ impl TqTree {
     }
 
     /// Finds the node storing `item` by replaying the placement descent.
+    ///
+    /// The canonical shape puts an item at the end of its descent — the
+    /// leaf it reaches or the first node it straddles — so that node is
+    /// checked first by sort key, in `O(h + log n)`. Only when that misses
+    /// does the exhaustive per-node scan run, which never touches the
+    /// (large) inter-node lists of an ordinary removal.
     fn locate(&self, item: &super::StoredItem) -> Option<NodeId> {
+        let mut cur = ROOT;
+        loop {
+            let node = self.node(cur);
+            let next = match child_quadrant(&node.rect, item) {
+                Some(q) if !node.is_leaf() => node.children[q],
+                _ => None,
+            };
+            match next {
+                Some(child) => cur = child,
+                None => break,
+            }
+        }
+        let quick = match &self.node(cur).list {
+            NodeList::Basic(items) => items
+                .binary_search_by_key(&(item.traj, item.seg), |x| (x.traj, x.seg))
+                .is_ok(),
+            NodeList::Z(z) => z.holds(item.traj, item.seg, &item.start, &item.end),
+        };
+        if quick {
+            return Some(cur);
+        }
+        self.locate_by_scan(item)
+    }
+
+    /// [`TqTree::locate`] by scanning every list on the descent path.
+    fn locate_by_scan(&self, item: &super::StoredItem) -> Option<NodeId> {
         let mut cur = ROOT;
         loop {
             let node = self.node(cur);
             let here = node
                 .list
                 .items()
-                .iter()
                 .any(|x| x.traj == item.traj && x.seg == item.seg);
             if here {
                 return Some(cur);
@@ -260,7 +289,7 @@ mod tests {
         }
         assert_eq!(tree.item_count(), 100);
         // A rebuilt tree over the remainder answers identically.
-        let remainder = UserSet::from_vec(users.as_slice()[100..].to_vec());
+        let remainder = users.trajectories().skip(100).cloned().collect::<UserSet>();
         let rebuilt = TqTree::build_with_bounds(
             &remainder,
             TqTreeConfig::default().with_beta(8),

@@ -7,10 +7,20 @@
 //! start z-cell the component can reach, then a per-survivor check of the end
 //! z-cell. Both phases are binary searches over the sorted list, never a
 //! scan of the whole list.
+//!
+//! The sorted list is stored in `Arc`'d chunks (and the partitions behind
+//! an `Arc`), so a copy of a list shares them all and an incremental
+//! insert or removal replaces only the one chunk it lands in: editing the
+//! large inter-node lists near the root of a big tree costs `O(chunk)`,
+//! not `O(list)`.
 
 use super::item::StoredItem;
 use super::zpartition::ZPartition;
+use std::sync::Arc;
 use tq_geometry::{Point, Rect, ZId};
+
+/// Target items per list chunk; a chunk splits in half past twice this.
+const Z_CHUNK: usize = 128;
 
 /// How `zReduce` may prune items, derived from the service scenario and the
 /// index placement (see `DESIGN.md` §5 and `eval::EvalCtx::new`).
@@ -42,9 +52,20 @@ pub struct ReduceScratch {
 /// with the two partitions that assigned the ids.
 #[derive(Debug, Clone)]
 pub struct ZList {
-    items: Vec<StoredItem>,
-    starts: ZPartition,
-    ends: ZPartition,
+    /// The sorted items, in non-empty chunks of at most `2 * Z_CHUNK`.
+    chunks: Vec<Arc<[StoredItem]>>,
+    len: usize,
+    /// The start- and end-point partitions.
+    parts: Arc<(ZPartition, ZPartition)>,
+}
+
+/// A position in a [`ZList`]: `(chunk, offset)`, with `(chunks, 0)` the
+/// end. Positions order like the items they point at.
+type Pos = (usize, usize);
+
+/// Splits sorted items into list chunks.
+fn chunked(items: &[StoredItem]) -> Vec<Arc<[StoredItem]>> {
+    items.chunks(Z_CHUNK).map(Arc::from).collect()
 }
 
 impl ZList {
@@ -64,45 +85,114 @@ impl ZList {
         items.sort_unstable_by(|a, b| {
             (a.start_z, a.end_z, a.traj, a.seg).cmp(&(b.start_z, b.end_z, b.traj, b.seg))
         });
-        ZList {
-            items,
-            starts,
-            ends,
-        }
+        Self::from_raw_parts(items, starts, ends)
     }
 
     /// The sorted items.
     #[inline]
-    pub fn items(&self) -> &[StoredItem] {
-        &self.items
+    pub fn items(&self) -> impl Iterator<Item = &StoredItem> + '_ {
+        self.slices().flatten()
+    }
+
+    /// The sorted items as consecutive slices (one per storage chunk).
+    #[inline]
+    pub fn slices(&self) -> impl Iterator<Item = &[StoredItem]> + '_ {
+        self.chunks.iter().map(|c| &c[..])
     }
 
     /// Number of items.
     #[inline]
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.len
     }
 
     /// Returns `true` when the list is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.len == 0
+    }
+
+    /// The first position whose item fails `pred` (`pred` must hold on a
+    /// prefix of the list) — `partition_point` over the chunks.
+    fn partition_point(&self, pred: impl Fn(&StoredItem) -> bool) -> Pos {
+        let ci = self
+            .chunks
+            .partition_point(|c| pred(c.last().expect("chunks are non-empty")));
+        match self.chunks.get(ci) {
+            Some(c) => (ci, c.partition_point(&pred)),
+            None => (ci, 0),
+        }
+    }
+
+    /// The items in `[from, to)`, as slices.
+    fn range(&self, from: Pos, to: Pos) -> impl Iterator<Item = &[StoredItem]> + '_ {
+        let end = if from < to {
+            (to.0 + 1).min(self.chunks.len())
+        } else {
+            from.0
+        };
+        self.chunks[from.0.min(end)..end]
+            .iter()
+            .enumerate()
+            .map(move |(i, c)| {
+                let ci = from.0 + i;
+                let lo = if ci == from.0 { from.1 } else { 0 };
+                let hi = if ci == to.0 { to.1 } else { c.len() };
+                &c[lo..hi]
+            })
+    }
+
+    /// Inserts `item` at `pos`: the chunk it lands in is replaced by a
+    /// copy with the item spliced in, split in half when over-full.
+    fn insert_at(&mut self, pos: Pos, item: StoredItem) {
+        self.len += 1;
+        if self.chunks.is_empty() {
+            self.chunks.push(Arc::from([item]));
+            return;
+        }
+        let (ci, off) = if pos.0 == self.chunks.len() {
+            let last = self.chunks.len() - 1;
+            (last, self.chunks[last].len())
+        } else {
+            pos
+        };
+        let old = &self.chunks[ci];
+        let spliced = old[..off].iter().chain([&item]).chain(&old[off..]).copied();
+        if old.len() < 2 * Z_CHUNK {
+            self.chunks[ci] = spliced.collect();
+        } else {
+            let all: Vec<StoredItem> = spliced.collect();
+            self.chunks[ci] = Arc::from(&all[..Z_CHUNK]);
+            self.chunks.insert(ci + 1, Arc::from(&all[Z_CHUNK..]));
+        }
+    }
+
+    /// Removes the item at `pos`: its chunk is replaced by a copy without
+    /// it, or dropped when emptied.
+    fn remove_at(&mut self, (ci, off): Pos) {
+        self.len -= 1;
+        let old = &self.chunks[ci];
+        if old.len() == 1 {
+            self.chunks.remove(ci);
+        } else {
+            self.chunks[ci] = old[..off].iter().chain(&old[off + 1..]).copied().collect();
+        }
     }
 
     /// Diagnostics: `(start partition leaves, end partition leaves)` — the
     /// z-node ("bucket") counts of the paper.
     pub fn bucket_counts(&self) -> (usize, usize) {
-        (self.starts.leaf_count(), self.ends.leaf_count())
+        (self.starts().leaf_count(), self.ends().leaf_count())
     }
 
     /// The start-point partition, for persistence.
     pub(crate) fn starts(&self) -> &ZPartition {
-        &self.starts
+        &self.parts.0
     }
 
     /// The end-point partition, for persistence.
     pub(crate) fn ends(&self) -> &ZPartition {
-        &self.ends
+        &self.parts.1
     }
 
     /// Reassembles a z-list from persisted parts — the items must already
@@ -115,15 +205,15 @@ impl ZList {
         ends: ZPartition,
     ) -> ZList {
         ZList {
-            items,
-            starts,
-            ends,
+            len: items.len(),
+            chunks: chunked(&items),
+            parts: Arc::new((starts, ends)),
         }
     }
 
     /// Incremental insert: assigns z-ids from the *existing* partitions
     /// (the cells containing the item's anchors) and splices the item into
-    /// the sorted list — `O(log n)` search plus the vector shift.
+    /// the sorted list — `O(log n)` search plus a shift within one chunk.
     ///
     /// The partitions are not refined, so a cell may temporarily exceed β
     /// points; `zReduce` stays sound (coverage tests are purely geometric)
@@ -131,44 +221,52 @@ impl ZList {
     /// This matches the paper's `O(β)`-reassignment spirit without the
     /// bookkeeping.
     pub fn insert_item(&mut self, mut item: StoredItem) {
-        item.start_z = self.starts.locate(&item.start);
-        item.end_z = self.ends.locate(&item.end);
+        item.start_z = self.starts().locate(&item.start);
+        item.end_z = self.ends().locate(&item.end);
         let key = (item.start_z, item.end_z, item.traj, item.seg);
-        let pos = self
-            .items
-            .partition_point(|x| (x.start_z, x.end_z, x.traj, x.seg) < key);
-        self.items.insert(pos, item);
+        let pos = self.partition_point(|x| (x.start_z, x.end_z, x.traj, x.seg) < key);
+        self.insert_at(pos, item);
     }
 
     /// Incremental removal of the item with this identity. Returns `true`
-    /// when found. `O(log n)` to find the sorted position, then the vector
-    /// shift.
+    /// when found. `O(log n)` to find the sorted position, then a shift
+    /// within one chunk.
     pub fn remove_item(&mut self, traj: u32, seg: u32, start: &Point, end: &Point) -> bool {
-        let start_z = self.starts.locate(start);
-        let end_z = self.ends.locate(end);
-        let key = (start_z, end_z, traj, seg);
-        let pos = self
-            .items
-            .partition_point(|x| (x.start_z, x.end_z, x.traj, x.seg) < key);
-        if pos < self.items.len() {
-            let x = &self.items[pos];
-            if (x.start_z, x.end_z, x.traj, x.seg) == key {
-                self.items.remove(pos);
-                return true;
-            }
+        if let Some(pos) = self.position(traj, seg, start, end) {
+            self.remove_at(pos);
+            return true;
         }
         // The item may have been bulk-built with different (finer) partition
         // state than `locate` reproduces — fall back to a linear search by
         // identity before reporting absence.
-        if let Some(pos) = self
-            .items
-            .iter()
-            .position(|x| x.traj == traj && x.seg == seg)
-        {
-            self.items.remove(pos);
-            return true;
+        let found = self.chunks.iter().enumerate().find_map(|(ci, c)| {
+            let off = c.iter().position(|x| x.traj == traj && x.seg == seg)?;
+            Some((ci, off))
+        });
+        match found {
+            Some(pos) => {
+                self.remove_at(pos);
+                true
+            }
+            None => false,
         }
-        false
+    }
+
+    /// Where the item with this identity and these anchors sits, found by
+    /// its sort key in `O(log n)`; `None` when the key search misses
+    /// (see [`ZList::remove_item`] for the one case it can).
+    fn position(&self, traj: u32, seg: u32, start: &Point, end: &Point) -> Option<Pos> {
+        let key = (self.starts().locate(start), self.ends().locate(end), traj, seg);
+        let pos = self.partition_point(|x| (x.start_z, x.end_z, x.traj, x.seg) < key);
+        let x = self.chunks.get(pos.0).map(|c| &c[pos.1])?;
+        ((x.start_z, x.end_z, x.traj, x.seg) == key).then_some(pos)
+    }
+
+    /// Whether the list holds the item with this identity, by its sort
+    /// key (`O(log n)`; may miss where [`ZList::remove_item`] falls back
+    /// to a scan).
+    pub(crate) fn holds(&self, traj: u32, seg: u32, start: &Point, end: &Point) -> bool {
+        self.position(traj, seg, start, end).is_some()
     }
 
     /// The two-phase `zReduce` of the paper: visits the indices of items
@@ -187,37 +285,41 @@ impl ZList {
         scratch: &mut ReduceScratch,
         mut visit: F,
     ) -> usize {
-        if self.items.is_empty() || stops.is_empty() {
-            return self.items.len();
+        if self.is_empty() || stops.is_empty() {
+            return self.len;
         }
         let comp_embr = Rect::bounding(stops.iter())
             .expect("non-empty stops")
             .expand(psi);
         if mode == ReduceMode::Scan {
             let mut visited = 0usize;
-            for it in &self.items {
-                if comp_embr.intersects(&it.mbr) {
-                    visited += 1;
-                    visit(it);
+            for items in self.slices() {
+                for it in items {
+                    if comp_embr.intersects(&it.mbr) {
+                        visited += 1;
+                        visit(it);
+                    }
                 }
             }
-            return self.items.len() - visited;
+            return self.len - visited;
         }
-        self.starts
+        self.starts()
             .covered_ranges(stops, psi, &mut scratch.start_ranges);
-        self.ends.covered_ranges(stops, psi, &mut scratch.end_ranges);
+        self.ends().covered_ranges(stops, psi, &mut scratch.end_ranges);
         let mut visited = 0usize;
         match mode {
             ReduceMode::Both => {
                 // Phase 1: contiguous runs of covered start z-ids.
                 for &(lo, hi) in &scratch.start_ranges {
-                    let from = self.items.partition_point(|it| it.start_z < lo);
-                    let to = self.items.partition_point(|it| it.start_z <= hi);
+                    let from = self.partition_point(|it| it.start_z < lo);
+                    let to = self.partition_point(|it| it.start_z <= hi);
                     // Phase 2: per-survivor end z-id check.
-                    for it in &self.items[from..to] {
-                        if ZPartition::ranges_cover(&scratch.end_ranges, &it.end_z) {
-                            visited += 1;
-                            visit(it);
+                    for items in self.range(from, to) {
+                        for it in items {
+                            if ZPartition::ranges_cover(&scratch.end_ranges, &it.end_z) {
+                                visited += 1;
+                                visit(it);
+                            }
                         }
                     }
                 }
@@ -235,26 +337,32 @@ impl ZList {
                         visit(it);
                     }
                 };
-                let mut cursor = 0usize;
+                let mut cursor: Pos = (0, 0);
                 for &(lo, hi) in &scratch.start_ranges {
-                    let from = self.items.partition_point(|it| it.start_z < lo);
-                    let to = self.items.partition_point(|it| it.start_z <= hi);
-                    for it in &self.items[cursor.min(from)..from] {
-                        rescue(it, &mut visited, &mut visit);
+                    let from = self.partition_point(|it| it.start_z < lo);
+                    let to = self.partition_point(|it| it.start_z <= hi);
+                    for items in self.range(cursor.min(from), from) {
+                        for it in items {
+                            rescue(it, &mut visited, &mut visit);
+                        }
                     }
-                    for it in &self.items[from..to] {
-                        visited += 1;
-                        visit(it);
+                    for items in self.range(from, to) {
+                        for it in items {
+                            visited += 1;
+                            visit(it);
+                        }
                     }
                     cursor = cursor.max(to);
                 }
-                for it in &self.items[cursor..] {
-                    rescue(it, &mut visited, &mut visit);
+                for items in self.range(cursor, (self.chunks.len(), 0)) {
+                    for it in items {
+                        rescue(it, &mut visited, &mut visit);
+                    }
                 }
             }
             ReduceMode::Scan => unreachable!(),
         }
-        self.items.len() - visited
+        self.len - visited
     }
 }
 
@@ -287,12 +395,49 @@ mod tests {
     }
 
     #[test]
+    fn chunked_edits_keep_the_list_sorted_and_shared() {
+        let all = random_items(1200, 21);
+        let mut zl = ZList::build(unit(), all[..300].to_vec(), 8);
+        let base = zl.clone();
+        let mut want: Vec<(u32, u32)> = all[..300].iter().map(|i| (i.traj, i.seg)).collect();
+        // Inserts split chunks; removals drop emptied ones.
+        for it in &all[300..] {
+            zl.insert_item(*it);
+            want.push((it.traj, it.seg));
+        }
+        let mut rng = StdRng::seed_from_u64(22);
+        for _ in 0..900 {
+            let k = rng.gen_range(0..want.len());
+            let (traj, seg) = want.swap_remove(k);
+            let it = &all[traj as usize];
+            assert!(zl.remove_item(traj, seg, &it.start, &it.end));
+            assert!(!zl.remove_item(traj, seg, &it.start, &it.end));
+        }
+        assert_eq!(zl.len(), want.len());
+        assert_eq!(zl.items().count(), want.len());
+        assert!(zl.slices().all(|s| !s.is_empty() && s.len() <= 2 * Z_CHUNK));
+        assert!(zl
+            .items()
+            .zip(zl.items().skip(1))
+            .all(|(a, b)| (a.start_z, a.end_z, a.traj) < (b.start_z, b.end_z, b.traj)));
+        let mut got: Vec<(u32, u32)> = zl.items().map(|i| (i.traj, i.seg)).collect();
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want);
+        // The copy taken before the edits is untouched by them.
+        assert_eq!(base.len(), 300);
+        assert!(base.items().map(|i| i.traj).eq(ZList::build(unit(), all[..300].to_vec(), 8)
+            .items()
+            .map(|i| i.traj)));
+    }
+
+    #[test]
     fn build_sorts_by_zid_pair() {
         let zl = ZList::build(unit(), random_items(200, 1), 8);
         assert!(zl
             .items()
-            .windows(2)
-            .all(|w| (w[0].start_z, w[0].end_z) <= (w[1].start_z, w[1].end_z)));
+            .zip(zl.items().skip(1))
+            .all(|(a, b)| (a.start_z, a.end_z) <= (b.start_z, b.end_z)));
         assert_eq!(zl.len(), 200);
     }
 

@@ -62,14 +62,17 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Registry handles for the writer funnel. The batch histogram's tail
-/// *is* the publish-stall story: a batch applies copy-on-write on the
-/// writer thread and publishes at the end, so its wall time is exactly
+/// *is* the publish-stall story: a batch builds its epoch on the writer
+/// thread and publishes at the end, so its wall time is exactly
 /// how long the funnel was busy (readers are never blocked either way).
 struct WriterMetrics {
     queue_depth: &'static tq_obs::Gauge,
     queued_ns: &'static tq_obs::Histogram,
     batch_ns: &'static tq_obs::Histogram,
     batches: &'static tq_obs::Counter,
+    /// Idle-tick [`ControlPlane::maintain`] failures, which have no
+    /// requester to report to.
+    maintain_failed: &'static tq_obs::Counter,
 }
 
 fn writer_metrics() -> &'static WriterMetrics {
@@ -79,6 +82,7 @@ fn writer_metrics() -> &'static WriterMetrics {
         queued_ns: tq_obs::histogram("tq_writer_queued_ns", ""),
         batch_ns: tq_obs::histogram("tq_writer_batch_ns", ""),
         batches: tq_obs::counter("tq_writer_batches_total", ""),
+        maintain_failed: tq_obs::counter("tq_events_total", "kind=\"maintain_failed\""),
     })
 }
 
@@ -470,6 +474,9 @@ impl<C: ControlPlane> WriterHub<C> {
     /// (a follower hub), and the idle [`ControlPlane::maintain`] tick.
     pub fn spawn_with(engine: C, options: WriterOptions) -> WriterHub<C> {
         let (tx, rx) = channel::<Msg>();
+        // Register the writer's instruments up front, so `METRICS` lists
+        // the failure counters at zero before anything fails.
+        writer_metrics();
         let tick = options.tick.unwrap_or(Duration::from_millis(500));
         let tap = options.tap;
         let mut read_only = options.read_only;
@@ -481,10 +488,12 @@ impl<C: ControlPlane> WriterHub<C> {
                     Err(RecvTimeoutError::Timeout) => {
                         // Idle housekeeping. An error here (a failed
                         // age-based checkpoint) has no requester to carry
-                        // it; the WAL still holds every acked batch, and
-                        // the verdict resurfaces on the next apply's
-                        // harvest.
-                        let _ = engine.maintain();
+                        // it, so it is counted in the metrics; the WAL
+                        // still holds every acked batch, and the verdict
+                        // resurfaces on the next apply's harvest.
+                        if engine.maintain().is_err() {
+                            writer_metrics().maintain_failed.incr();
+                        }
                         continue;
                     }
                     Err(RecvTimeoutError::Disconnected) => break,

@@ -23,4 +23,4 @@ mod trajectory;
 
 pub use facility::{Facility, FacilityId, FacilitySet};
 pub use io::LocalProjection;
-pub use trajectory::{SegmentRef, Trajectory, TrajectoryId, UserSet};
+pub use trajectory::{SegmentRef, Trajectory, TrajectoryId, UserSet, USER_CHUNK};

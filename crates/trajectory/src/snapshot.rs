@@ -134,7 +134,7 @@ mod tests {
         let (u, f) = sample();
         let buf = encode(&u, &f);
         let (u2, f2) = decode(buf).unwrap();
-        assert_eq!(u.as_slice(), u2.as_slice());
+        assert_eq!(u, u2);
         assert_eq!(f.as_slice(), f2.as_slice());
     }
 

@@ -1,3 +1,4 @@
+use std::sync::Arc;
 use tq_geometry::{Point, Rect};
 
 /// Identifier of a user trajectory: its index in the owning [`UserSet`].
@@ -153,10 +154,29 @@ impl Trajectory {
 ///
 /// Trajectory ids are dense indices into this set; every index structure in
 /// the workspace refers to trajectories through their [`TrajectoryId`].
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// The set is **append-only and structurally shared**: trajectories live in
+/// immutable full chunks of [`USER_CHUNK`] behind `Arc`s plus one shared,
+/// partially filled tail chunk, so cloning a set copies one pointer per
+/// chunk, and a [`UserSet::push`] on a clone copies at most the tail —
+/// every full chunk stays the same allocation in both sets. An engine publishing a new epoch per
+/// update batch therefore pays `O(batch)` for its user set, not `O(|U|)`.
+/// Removal is not a set operation: owners keep removed trajectories as
+/// id-stable tombstones.
+#[derive(Clone, Default)]
 pub struct UserSet {
-    trajectories: Vec<Trajectory>,
+    /// Full chunks of exactly [`USER_CHUNK`] trajectories. A lookup is one
+    /// load of the chunk's fat pointer, then the trajectory itself.
+    full: Vec<Arc<[Trajectory]>>,
+    /// The last `len % USER_CHUNK` trajectories.
+    tail: Arc<Vec<Trajectory>>,
+    len: usize,
 }
+
+/// Trajectories per [`UserSet`] chunk (a power of two, so a lookup is a
+/// shift and a mask).
+pub const USER_CHUNK: usize = 1 << USER_CHUNK_BITS;
+const USER_CHUNK_BITS: u32 = 10;
 
 impl UserSet {
     /// Creates an empty set.
@@ -165,52 +185,87 @@ impl UserSet {
     }
 
     /// Creates a set from trajectories, assigning ids by position.
-    pub fn from_vec(trajectories: Vec<Trajectory>) -> Self {
-        UserSet { trajectories }
+    pub fn from_vec(mut trajectories: Vec<Trajectory>) -> Self {
+        let len = trajectories.len();
+        let tail_len = len % USER_CHUNK;
+        let mut tail = Vec::with_capacity(USER_CHUNK);
+        tail.extend(trajectories.drain(len - tail_len..));
+        let mut full = Vec::with_capacity(len / USER_CHUNK);
+        let mut rest = trajectories.into_iter();
+        for _ in 0..len / USER_CHUNK {
+            full.push(rest.by_ref().take(USER_CHUNK).collect());
+        }
+        UserSet {
+            full,
+            tail: Arc::new(tail),
+            len,
+        }
     }
 
     /// Adds a trajectory, returning its id.
     pub fn push(&mut self, t: Trajectory) -> TrajectoryId {
-        let id = self.trajectories.len() as TrajectoryId;
-        self.trajectories.push(t);
+        let id = self.len as TrajectoryId;
+        // Copy-on-write of the shared tail only: a clone of this set keeps
+        // the old tail, every full chunk stays shared.
+        if Arc::get_mut(&mut self.tail).is_none() {
+            let mut own = Vec::with_capacity(USER_CHUNK);
+            own.extend(self.tail.iter().cloned());
+            self.tail = Arc::new(own);
+        }
+        let tail = Arc::get_mut(&mut self.tail).expect("tail made unique");
+        tail.push(t);
+        if tail.len() == USER_CHUNK {
+            let full = std::mem::replace(tail, Vec::with_capacity(USER_CHUNK));
+            self.full.push(Arc::from(full));
+        }
+        self.len += 1;
         id
     }
 
     /// Number of trajectories, `|U|`.
     #[inline]
     pub fn len(&self) -> usize {
-        self.trajectories.len()
+        self.len
     }
 
     /// Returns `true` when the set holds no trajectories.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.trajectories.is_empty()
+        self.len == 0
     }
 
     /// The trajectory with id `id`.
     #[inline]
     pub fn get(&self, id: TrajectoryId) -> &Trajectory {
-        &self.trajectories[id as usize]
+        let i = id as usize;
+        match self.full.get(i >> USER_CHUNK_BITS) {
+            Some(chunk) => &chunk[i & (USER_CHUNK - 1)],
+            None => &self.tail[i & (USER_CHUNK - 1)],
+        }
     }
 
-    /// Iterates `(id, trajectory)` pairs.
+    /// Iterates `(id, trajectory)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (TrajectoryId, &Trajectory)> {
-        self.trajectories
-            .iter()
+        self.trajectories()
             .enumerate()
             .map(|(i, t)| (i as TrajectoryId, t))
     }
 
-    /// All trajectories as a slice.
-    #[inline]
-    pub fn as_slice(&self) -> &[Trajectory] {
-        &self.trajectories
+    /// Iterates the trajectories in id order.
+    pub fn trajectories(&self) -> impl Iterator<Item = &Trajectory> {
+        self.full.iter().flat_map(|c| c.iter()).chain(self.tail.iter())
+    }
+
+    /// The full storage chunks, in id order (chunk `i` holds ids
+    /// `i * USER_CHUNK ..`). Two sets sharing history share chunk
+    /// allocations; `Arc::ptr_eq` on these tells which.
+    pub fn full_chunks(&self) -> &[Arc<[Trajectory]>] {
+        &self.full
     }
 
     /// Minimum bounding rectangle of the whole set, or `None` when empty.
     pub fn mbr(&self) -> Option<Rect> {
-        let mut it = self.trajectories.iter();
+        let mut it = self.trajectories();
         let mut r = it.next()?.mbr();
         for t in it {
             r = r.union(&t.mbr());
@@ -220,21 +275,51 @@ impl UserSet {
 
     /// Total number of points across all trajectories.
     pub fn total_points(&self) -> usize {
-        self.trajectories.iter().map(Trajectory::len).sum()
+        self.trajectories().map(Trajectory::len).sum()
     }
 
     /// Total number of segments across all trajectories
     /// (`Σ_u |u| - 1`, the storage bound of the segmented TQ-tree).
     pub fn total_segments(&self) -> usize {
-        self.trajectories.iter().map(Trajectory::num_segments).sum()
+        self.trajectories().map(Trajectory::num_segments).sum()
     }
 
     /// A truncated copy containing only the first `n` trajectories
     /// (used by the user-count parameter sweeps).
     pub fn truncated(&self, n: usize) -> UserSet {
-        UserSet {
-            trajectories: self.trajectories[..n.min(self.trajectories.len())].to_vec(),
+        let mut out = UserSet::new();
+        out.extend(self.trajectories().take(n).cloned());
+        out
+    }
+}
+
+impl Extend<Trajectory> for UserSet {
+    fn extend<I: IntoIterator<Item = Trajectory>>(&mut self, iter: I) {
+        for t in iter {
+            self.push(t);
         }
+    }
+}
+
+impl FromIterator<Trajectory> for UserSet {
+    fn from_iter<I: IntoIterator<Item = Trajectory>>(iter: I) -> Self {
+        let mut set = UserSet::new();
+        set.extend(iter);
+        set
+    }
+}
+
+/// Sets are equal iff they hold equal trajectories in the same id order;
+/// how they are chunked and shared does not matter.
+impl PartialEq for UserSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.trajectories().eq(other.trajectories())
+    }
+}
+
+impl std::fmt::Debug for UserSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.trajectories()).finish()
     }
 }
 
@@ -333,6 +418,23 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t[1].source(), p(0.0, 1.0));
         assert_eq!(u.truncated(99).len(), 3);
+    }
+
+    #[test]
+    fn push_on_a_clone_copies_only_the_tail_chunk() {
+        let mut a: UserSet = (0..2 * USER_CHUNK - 1)
+            .map(|i| Trajectory::two_point(p(i as f64, 0.0), p(i as f64, 1.0)))
+            .collect();
+        let b = a.clone();
+        let id = a.push(Trajectory::two_point(p(-1.0, 0.0), p(-1.0, 1.0)));
+        assert_eq!(id as usize, 2 * USER_CHUNK - 1);
+        assert_eq!((a.len(), b.len()), (2 * USER_CHUNK, 2 * USER_CHUNK - 1));
+        assert_eq!((a.full_chunks().len(), b.full_chunks().len()), (2, 1));
+        assert!(Arc::ptr_eq(&a.full_chunks()[0], &b.full_chunks()[0]), "full chunk shared");
+        assert_eq!(a.get(id - 1), b.get(id - 1));
+        assert_eq!(a.get(id).source(), p(-1.0, 0.0));
+        assert_eq!(a.truncated(b.len()), b);
+        assert_ne!(a, b);
     }
 
     #[test]
