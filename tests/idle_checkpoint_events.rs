@@ -43,15 +43,17 @@ fn failed_idle_checkpoint_is_counted() {
     assert!(tq::obs::snapshot().render().contains(COUNTER));
     let before = maintain_failures();
 
-    // One batch in the WAL makes the age-based checkpoint due; with the
-    // store directory gone, every idle attempt to write it fails.
+    // With the store directory gone (the open WAL file still takes
+    // appends), one acked batch makes the age-based checkpoint due, and
+    // every idle attempt to write it fails. Removing the directory first
+    // leaves no window for a checkpoint to succeed.
+    std::fs::remove_dir_all(&dir).unwrap();
     let batch: Vec<Update> = arrivals
         .trajectories()
         .cloned()
         .map(Update::Insert)
         .collect();
     hub.handle().apply(batch).unwrap();
-    std::fs::remove_dir_all(&dir).unwrap();
 
     let deadline = Instant::now() + Duration::from_secs(10);
     while maintain_failures() <= before {
